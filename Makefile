@@ -1,10 +1,10 @@
 # Developer entry points. `make check` is the tier-1.5 gate CI runs: build,
-# vet, full test suite, and the concurrency-sensitive packages again under
-# the race detector.
+# vet, gofmt, full test suite, and the concurrency-sensitive packages again
+# under the race detector.
 
 GO ?= go
 
-.PHONY: build vet test race check simtest cluster crash load stream bench bench-smoke bench-sharded bench-json report staticcheck
+.PHONY: build vet fmt test race check simtest cluster crash load stream bench bench-smoke bench-sharded bench-json report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
 # gate works on minimal toolchains (CI installs it; see scripts/check.sh).
@@ -17,6 +17,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file in the repository must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -71,7 +75,7 @@ stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 
-check: build vet staticcheck test race simtest cluster crash load stream
+check: build vet fmt staticcheck test race simtest cluster crash load stream
 
 bench:
 	$(GO) test -bench . -benchtime 1s ./internal/core/

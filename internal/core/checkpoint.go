@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -57,40 +58,44 @@ func FocalSliceOID(b []byte) (model.ObjectID, error) {
 // sequence (the router always requests with the sequence it last journaled,
 // and the exchange is synchronous, so a mismatch means the two sides have
 // diverged — an error, not something to paper over).
+//
+// Only focals marked dirty since the last exchange are re-encoded; the
+// first exchange (a fresh or restored node, ckptBase nil) scans them all.
+// Either way the delta is byte-identical to diffing every focal.
 func (n *NodeServer) CheckpointDelta(since uint64) (CheckpointDelta, error) {
 	if since != n.ckptSeq {
 		return CheckpointDelta{}, fmt.Errorf("core: checkpoint desync: node at seq %d, router requested since %d", n.ckptSeq, since)
 	}
 	if n.ckptBase == nil {
 		n.ckptBase = make(map[model.ObjectID][]byte)
+		n.dirty = make(map[model.ObjectID]struct{}, len(n.srv.fot))
+		for oid := range n.srv.fot {
+			n.dirty[oid] = struct{}{}
+		}
 	}
-	d := CheckpointDelta{Seq: n.ckptSeq}
-	oids := make([]model.ObjectID, 0, len(n.srv.fot))
-	for oid := range n.srv.fot {
+	oids := make([]model.ObjectID, 0, len(n.dirty))
+	for oid := range n.dirty {
 		oids = append(oids, oid)
 	}
-	sortOIDs(oids)
-	dirty := false
+	clear(n.dirty)
+	slices.Sort(oids)
+	d := CheckpointDelta{Seq: n.ckptSeq}
 	for _, oid := range oids {
+		if _, ok := n.srv.fot[oid]; !ok {
+			if _, had := n.ckptBase[oid]; had {
+				delete(n.ckptBase, oid)
+				d.Removed = append(d.Removed, oid)
+			}
+			continue
+		}
 		enc := n.srv.encodeFocalState(oid)
 		if prev, ok := n.ckptBase[oid]; ok && bytes.Equal(prev, enc) {
 			continue
 		}
 		n.ckptBase[oid] = enc
 		d.Slices = append(d.Slices, enc)
-		dirty = true
 	}
-	for oid := range n.ckptBase {
-		if _, ok := n.srv.fot[oid]; !ok {
-			d.Removed = append(d.Removed, oid)
-			dirty = true
-		}
-	}
-	sortOIDs(d.Removed)
-	for _, oid := range d.Removed {
-		delete(n.ckptBase, oid)
-	}
-	if dirty {
+	if len(d.Slices) > 0 || len(d.Removed) > 0 {
 		n.ckptSeq++
 		d.Seq = n.ckptSeq
 	}
@@ -273,7 +278,7 @@ func (cs *ClusterServer) replayJournalLocked(i int, tid trace.ID) {
 	for oid := range j.slices {
 		oids = append(oids, oid)
 	}
-	sortOIDs(oids)
+	slices.Sort(oids)
 	for _, oid := range oids {
 		// A journal entry is authoritative only while the router still maps
 		// the focal to the dead node. Slices for focals that handed off to
@@ -340,11 +345,11 @@ func (*crashedNode) CompleteInstall(model.QueryID, model.Query, float64, model.T
 func (*crashedNode) RemoveQuery(model.QueryID, trace.ID) (bool, model.ObjectID, bool) {
 	return false, 0, false
 }
-func (*crashedNode) DueExpiries(model.Time) []model.QueryID                           { return nil }
-func (*crashedNode) UpsertFocal(model.ObjectID, model.MotionState, trace.ID)          {}
-func (*crashedNode) VelocityReport(msg.VelocityReport, trace.ID)                      {}
-func (*crashedNode) ContainmentReport(msg.ContainmentReport, trace.ID)                {}
-func (*crashedNode) GroupContainmentReport(msg.GroupContainmentReport, trace.ID)      {}
+func (*crashedNode) DueExpiries(model.Time) []model.QueryID                      { return nil }
+func (*crashedNode) UpsertFocal(model.ObjectID, model.MotionState, trace.ID)     {}
+func (*crashedNode) VelocityReport(msg.VelocityReport, trace.ID)                 {}
+func (*crashedNode) ContainmentReport(msg.ContainmentReport, trace.ID)           {}
+func (*crashedNode) GroupContainmentReport(msg.GroupContainmentReport, trace.ID) {}
 func (*crashedNode) FocalCellChange(model.ObjectID, model.MotionState, grid.CellID, trace.ID) {
 }
 func (*crashedNode) FreshQueryStates(_, _ grid.CellID) []msg.QueryState { return nil }
@@ -362,19 +367,19 @@ func (c *crashedNode) InjectFocal([]byte, model.MotionState, grid.CellID, bool, 
 func (c *crashedNode) CheckpointDelta(uint64) (CheckpointDelta, error) {
 	return CheckpointDelta{}, c.reason
 }
-func (*crashedNode) Result(model.QueryID) []model.ObjectID                  { return nil }
-func (*crashedNode) ResultContains(model.QueryID, model.ObjectID) bool      { return false }
-func (*crashedNode) ResultSize(model.QueryID) int                           { return 0 }
-func (*crashedNode) Query(model.QueryID) (model.Query, bool)                { return model.Query{}, false }
-func (*crashedNode) MonRegion(model.QueryID) (grid.CellRange, bool)         { return grid.CellRange{}, false }
-func (*crashedNode) NumQueries() int                                        { return 0 }
-func (*crashedNode) QueryIDs() []model.QueryID                              { return nil }
-func (*crashedNode) NearbyQueries(grid.CellID) []model.QueryID              { return nil }
-func (*crashedNode) FocalIDs() []model.ObjectID                             { return nil }
-func (*crashedNode) FocalCell(model.ObjectID) (grid.CellID, bool)           { return grid.CellID{}, false }
-func (*crashedNode) Ops() int64                                             { return 0 }
-func (c *crashedNode) SnapshotData() ([]byte, error)                        { return nil, c.reason }
-func (*crashedNode) CheckInvariants() error                                 { return nil }
-func (*crashedNode) Close() error                                           { return nil }
+func (*crashedNode) Result(model.QueryID) []model.ObjectID             { return nil }
+func (*crashedNode) ResultContains(model.QueryID, model.ObjectID) bool { return false }
+func (*crashedNode) ResultSize(model.QueryID) int                      { return 0 }
+func (*crashedNode) Query(model.QueryID) (model.Query, bool)           { return model.Query{}, false }
+func (*crashedNode) MonRegion(model.QueryID) (grid.CellRange, bool)    { return grid.CellRange{}, false }
+func (*crashedNode) NumQueries() int                                   { return 0 }
+func (*crashedNode) QueryIDs() []model.QueryID                         { return nil }
+func (*crashedNode) NearbyQueries(grid.CellID) []model.QueryID         { return nil }
+func (*crashedNode) FocalIDs() []model.ObjectID                        { return nil }
+func (*crashedNode) FocalCell(model.ObjectID) (grid.CellID, bool)      { return grid.CellID{}, false }
+func (*crashedNode) Ops() int64                                        { return 0 }
+func (c *crashedNode) SnapshotData() ([]byte, error)                   { return nil, c.reason }
+func (*crashedNode) CheckInvariants() error                            { return nil }
+func (*crashedNode) Close() error                                      { return nil }
 
 var _ NodeHandle = (*crashedNode)(nil)

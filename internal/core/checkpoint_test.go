@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"mobieyes/internal/geo"
 	"mobieyes/internal/model"
+	"mobieyes/internal/msg"
 )
 
 // TestCheckpointDeltaRoundTrip: pulling checkpoints after a busy scenario
@@ -279,4 +284,202 @@ func TestCrashStaleWatermarkKeepsInvariants(t *testing.T) {
 	if err := cs.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after post-crash steps: %v", err)
 	}
+}
+
+// fullScanDelta is the reference the incremental CheckpointDelta must
+// match: re-encode every focal on s, diff against base, and fold the
+// result into base.
+func fullScanDelta(s *Server, base map[model.ObjectID][]byte) (changed [][]byte, removed []model.ObjectID) {
+	oids := make([]model.ObjectID, 0, len(s.fot))
+	for oid := range s.fot {
+		oids = append(oids, oid)
+	}
+	slices.Sort(oids)
+	for _, oid := range oids {
+		enc := s.encodeFocalState(oid)
+		if prev, ok := base[oid]; ok && bytes.Equal(prev, enc) {
+			continue
+		}
+		base[oid] = enc
+		changed = append(changed, enc)
+	}
+	for oid := range base {
+		if _, ok := s.fot[oid]; !ok {
+			removed = append(removed, oid)
+		}
+	}
+	slices.Sort(removed)
+	for _, oid := range removed {
+		delete(base, oid)
+	}
+	return changed, removed
+}
+
+// nodeOpSequence applies seeded, coherent NodeHandle operations — every
+// mutation entry point the dirty set is marked at — against one node.
+// With dropContainmentMark set it undoes the mark a ContainmentReport adds,
+// simulating a missing mark.
+type nodeOpSequence struct {
+	rng                 *rand.Rand
+	n                   *NodeServer
+	nextQID             model.QueryID
+	inFlight            [][]byte // extracted focal slices awaiting injection
+	dropContainmentMark bool
+}
+
+func (d *nodeOpSequence) state() model.MotionState {
+	return model.MotionState{
+		Pos: geo.Pt(d.rng.Float64()*100, d.rng.Float64()*100),
+		Vel: geo.Vec(d.rng.Float64()*200-100, d.rng.Float64()*200-100),
+		Tm:  model.Time(d.rng.Float64()),
+	}
+}
+
+func (d *nodeOpSequence) pickQuery() (model.QueryID, bool) {
+	qids := d.n.QueryIDs()
+	if len(qids) == 0 {
+		return 0, false
+	}
+	return qids[d.rng.Intn(len(qids))], true
+}
+
+func (d *nodeOpSequence) step() {
+	n, g := d.n, d.n.srv.g
+	oid := model.ObjectID(1 + d.rng.Intn(10))
+	_, isFocal := n.srv.fot[oid]
+	switch d.rng.Intn(13) {
+	case 0:
+		n.UpsertFocal(oid, d.state(), 0)
+	case 1:
+		if !isFocal {
+			n.UpsertFocal(oid, d.state(), 0)
+		}
+		d.nextQID++
+		var expiry model.Time
+		if d.rng.Intn(3) == 0 {
+			expiry = model.FromSeconds(float64(60 + d.rng.Intn(600)))
+		}
+		q := model.Query{ID: d.nextQID, Focal: oid, Region: model.CircleRegion{R: 2 + 6*d.rng.Float64()}, Filter: matchAll}
+		n.CompleteInstall(d.nextQID, q, 50+d.rng.Float64()*150, expiry, 0)
+	case 2:
+		if qid, ok := d.pickQuery(); ok {
+			n.RemoveQuery(qid, 0)
+		}
+	case 3:
+		st := d.state()
+		n.VelocityReport(msg.VelocityReport{OID: oid, Pos: st.Pos, Vel: st.Vel, Tm: st.Tm}, 0)
+	case 4, 5, 6:
+		qid, ok := d.pickQuery()
+		if !ok {
+			return
+		}
+		focal := n.srv.sqt[qid].query.Focal
+		_, wasDirty := n.dirty[focal]
+		n.ContainmentReport(msg.ContainmentReport{OID: oid, QID: qid, IsTarget: d.rng.Intn(3) > 0}, 0)
+		if d.dropContainmentMark && !wasDirty {
+			delete(n.dirty, focal)
+		}
+	case 7:
+		qids := append(n.QueryIDs(), d.nextQID+1) // one unknown qid rides along
+		bm := msg.NewBitmap(len(qids))
+		for i := range qids {
+			bm.Set(i, d.rng.Intn(2) == 0)
+		}
+		n.GroupContainmentReport(msg.GroupContainmentReport{OID: oid, QIDs: qids, Bitmap: bm}, 0)
+	case 8:
+		if isFocal {
+			st := d.state()
+			n.FocalCellChange(oid, st, g.CellOf(st.Pos), 0)
+		}
+	case 9:
+		if d.rng.Intn(2) == 0 {
+			n.ClearResults(oid, 0)
+		} else {
+			n.DepartSweep(oid, 0)
+		}
+	case 10:
+		n.DepartFocal(oid, 0)
+	case 11:
+		if isFocal {
+			slice, err := n.ExtractFocal(oid, d.rng.Intn(2) == 0, 0)
+			if err != nil {
+				panic(err)
+			}
+			d.inFlight = append(d.inFlight, slice)
+		}
+	case 12:
+		// Land the oldest in-flight slice, unless its oid became focal
+		// again meanwhile (then the handoff is void).
+		if len(d.inFlight) == 0 {
+			return
+		}
+		slice := d.inFlight[0]
+		d.inFlight = d.inFlight[1:]
+		if back, _ := FocalSliceOID(slice); n.srv.fot[back] != nil {
+			return
+		}
+		st := d.state()
+		if err := n.InjectFocal(slice, st, g.CellOf(st.Pos), d.rng.Intn(2) == 0, true, 0); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// incrementalDeltaMismatch runs a seeded op sequence against a fresh node,
+// pulling a checkpoint every one to four ops, and reports the first pull
+// whose incremental delta differs from the full-scan reference.
+func incrementalDeltaMismatch(seed int64, ops int, dropContainmentMark bool) error {
+	d := &nodeOpSequence{
+		rng:                 rand.New(rand.NewSource(seed)),
+		n:                   NewNodeServer(smallGrid(), Options{}, nullDown{}),
+		dropContainmentMark: dropContainmentMark,
+	}
+	base := make(map[model.ObjectID][]byte)
+	var seq uint64
+	for op := 0; op < ops; {
+		for k := 1 + d.rng.Intn(4); k > 0; k-- {
+			d.step()
+			op++
+		}
+		got, err := d.n.CheckpointDelta(seq)
+		if err != nil {
+			return fmt.Errorf("op %d: %v", op, err)
+		}
+		wantSlices, wantRemoved := fullScanDelta(d.n.srv, base)
+		if !slices.Equal(got.Removed, wantRemoved) {
+			return fmt.Errorf("op %d: removed %v, full scan %v", op, got.Removed, wantRemoved)
+		}
+		if !slices.EqualFunc(got.Slices, wantSlices, bytes.Equal) {
+			return fmt.Errorf("op %d: %d changed slices, full scan %d (or bytes differ)", op, len(got.Slices), len(wantSlices))
+		}
+		if len(wantSlices) > 0 || len(wantRemoved) > 0 {
+			seq++
+		}
+		if got.Seq != seq {
+			return fmt.Errorf("op %d: seq %d, want %d", op, got.Seq, seq)
+		}
+	}
+	return nil
+}
+
+// TestCheckpointDeltaIncrementalMatchesFullScan: over seeded sequences of
+// every NodeHandle mutation, each incremental delta — Slices and Removed —
+// is byte-identical to re-encoding and diffing every focal.
+func TestCheckpointDeltaIncrementalMatchesFullScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		if err := incrementalDeltaMismatch(seed, 400, false); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestCheckpointDeltaEquivalenceHasTeeth: with the ContainmentReport mark
+// undone, the comparison above catches the stale delta.
+func TestCheckpointDeltaEquivalenceHasTeeth(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		if incrementalDeltaMismatch(seed, 400, true) != nil {
+			return
+		}
+	}
+	t.Fatal("no seed exposed a missing ContainmentReport mark")
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"mobieyes/internal/geo"
 	"mobieyes/internal/grid"
@@ -60,21 +61,13 @@ func encodeFocalSlice(rec focalRecord) []byte {
 		for oid := range e.result {
 			res = append(res, oid)
 		}
-		sortOIDs(res)
+		slices.Sort(res)
 		u32(uint32(len(res)))
 		for _, oid := range res {
 			u32(uint32(oid))
 		}
 	}
 	return b
-}
-
-func sortOIDs(ids []model.ObjectID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }
 
 // decodeFocalSlice parses an encoded focal slice back into a detached focal

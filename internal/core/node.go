@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
@@ -78,9 +79,12 @@ type NodeServer struct {
 
 	// Checkpoint baseline: the focal-slice bytes as of the last
 	// CheckpointDelta exchange, used to diff the next delta. ckptSeq bumps
-	// only when the delta is non-empty.
+	// only when the delta is non-empty. dirty holds the focals whose slice
+	// an operation may have changed since that exchange — marked at the
+	// NodeHandle entry points below, only once a baseline exists.
 	ckptSeq  uint64
 	ckptBase map[model.ObjectID][]byte
+	dirty    map[model.ObjectID]struct{}
 }
 
 // NewNodeServer returns a node executor over grid g sending through down.
@@ -96,6 +100,21 @@ func (n *NodeServer) run(tid trace.ID, fn func(s *Server)) {
 	n.srv.curTrace = prev
 }
 
+// touch marks focal oid's slice dirty for the next checkpoint delta. Before
+// the first exchange there is no baseline and every focal is scanned.
+func (n *NodeServer) touch(oid model.ObjectID) {
+	if n.ckptBase != nil {
+		n.dirty[oid] = struct{}{}
+	}
+}
+
+// touchQuery marks the focal of query qid, if the node holds it.
+func (n *NodeServer) touchQuery(qid model.QueryID) {
+	if e, ok := n.srv.sqt[qid]; ok {
+		n.touch(e.query.Focal)
+	}
+}
+
 // SetTracer attaches a flight recorder under the given actor name
 // ("node0", "node1", …).
 func (n *NodeServer) SetTracer(rec *trace.Recorder, actor string) {
@@ -108,6 +127,7 @@ func (n *NodeServer) SetTracer(rec *trace.Recorder, actor string) {
 func (n *NodeServer) Underlying() *Server { return n.srv }
 
 func (n *NodeServer) CompleteInstall(qid model.QueryID, q model.Query, maxVel float64, expiry model.Time, tid trace.ID) {
+	n.touch(q.Focal)
 	n.run(tid, func(s *Server) {
 		if expiry != 0 {
 			s.expiries[qid] = expiry
@@ -117,6 +137,7 @@ func (n *NodeServer) CompleteInstall(qid model.QueryID, q model.Query, maxVel fl
 }
 
 func (n *NodeServer) RemoveQuery(qid model.QueryID, tid trace.ID) (removed bool, focal model.ObjectID, stillFocal bool) {
+	n.touchQuery(qid)
 	n.run(tid, func(s *Server) {
 		if e, installed := s.sqt[qid]; installed {
 			focal = e.query.Focal
@@ -138,22 +159,29 @@ func (n *NodeServer) DueExpiries(now model.Time) []model.QueryID {
 }
 
 func (n *NodeServer) UpsertFocal(oid model.ObjectID, st model.MotionState, tid trace.ID) {
+	n.touch(oid)
 	n.run(tid, func(s *Server) { s.upsertFocal(oid, st) })
 }
 
 func (n *NodeServer) VelocityReport(m msg.VelocityReport, tid trace.ID) {
+	n.touch(m.OID)
 	n.run(tid, func(s *Server) { s.OnVelocityReport(m) })
 }
 
 func (n *NodeServer) ContainmentReport(m msg.ContainmentReport, tid trace.ID) {
+	n.touchQuery(m.QID)
 	n.run(tid, func(s *Server) { s.OnContainmentReport(m) })
 }
 
 func (n *NodeServer) GroupContainmentReport(m msg.GroupContainmentReport, tid trace.ID) {
+	for _, qid := range m.QIDs {
+		n.touchQuery(qid)
+	}
 	n.run(tid, func(s *Server) { s.OnGroupContainmentReport(m) })
 }
 
 func (n *NodeServer) FocalCellChange(oid model.ObjectID, st model.MotionState, newCell grid.CellID, tid trace.ID) {
+	n.touch(oid)
 	n.run(tid, func(s *Server) {
 		if fe, ok := s.fot[oid]; ok {
 			s.focalCellChange(fe, st, newCell)
@@ -166,6 +194,11 @@ func (n *NodeServer) FreshQueryStates(prevCell, newCell grid.CellID) []msg.Query
 }
 
 func (n *NodeServer) ClearResults(oid model.ObjectID, tid trace.ID) {
+	for _, e := range n.srv.sqt {
+		if _, in := e.result[oid]; in {
+			n.touch(e.query.Focal)
+		}
+	}
 	n.run(tid, func(s *Server) { s.clearObjectFromResults(oid) })
 }
 
@@ -173,6 +206,7 @@ func (n *NodeServer) DepartSweep(oid model.ObjectID, tid trace.ID) {
 	n.run(tid, func(s *Server) {
 		for qid, e := range s.sqt {
 			if _, in := e.result[oid]; in {
+				n.touch(e.query.Focal)
 				delete(e.result, oid)
 				s.notifyResult(qid, oid, false)
 			}
@@ -181,6 +215,7 @@ func (n *NodeServer) DepartSweep(oid model.ObjectID, tid trace.ID) {
 }
 
 func (n *NodeServer) DepartFocal(oid model.ObjectID, tid trace.ID) []model.QueryID {
+	n.touch(oid)
 	var qids []model.QueryID
 	n.run(tid, func(s *Server) {
 		fe, ok := s.fot[oid]
@@ -200,6 +235,7 @@ func (n *NodeServer) ExtractFocal(oid model.ObjectID, admin bool, tid trace.ID) 
 	if _, ok := n.srv.fot[oid]; !ok {
 		return nil, errNoFocal
 	}
+	n.touch(oid)
 	restore := n.suspendCharges(admin)
 	var slice []byte
 	n.run(tid, func(s *Server) { slice = encodeFocalSlice(s.extractFocal(oid)) })
@@ -212,6 +248,7 @@ func (n *NodeServer) InjectFocal(slice []byte, st model.MotionState, cell grid.C
 	if err != nil {
 		return err
 	}
+	n.touch(rec.oid)
 	restore := n.suspendCharges(admin)
 	n.run(tid, func(s *Server) { s.injectFocal(rec, st, cell, relocate) })
 	restore()
@@ -235,13 +272,13 @@ func (n *NodeServer) Result(qid model.QueryID) []model.ObjectID { return n.srv.R
 func (n *NodeServer) ResultContains(qid model.QueryID, oid model.ObjectID) bool {
 	return n.srv.ResultContains(qid, oid)
 }
-func (n *NodeServer) ResultSize(qid model.QueryID) int          { return n.srv.ResultSize(qid) }
+func (n *NodeServer) ResultSize(qid model.QueryID) int            { return n.srv.ResultSize(qid) }
 func (n *NodeServer) Query(qid model.QueryID) (model.Query, bool) { return n.srv.Query(qid) }
 func (n *NodeServer) MonRegion(qid model.QueryID) (grid.CellRange, bool) {
 	return n.srv.MonRegion(qid)
 }
-func (n *NodeServer) NumQueries() int            { return n.srv.NumQueries() }
-func (n *NodeServer) QueryIDs() []model.QueryID  { return n.srv.QueryIDs() }
+func (n *NodeServer) NumQueries() int           { return n.srv.NumQueries() }
+func (n *NodeServer) QueryIDs() []model.QueryID { return n.srv.QueryIDs() }
 func (n *NodeServer) NearbyQueries(cell grid.CellID) []model.QueryID {
 	return n.srv.NearbyQueries(cell)
 }
@@ -251,7 +288,7 @@ func (n *NodeServer) FocalIDs() []model.ObjectID {
 	for oid := range n.srv.fot {
 		out = append(out, oid)
 	}
-	sortOIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -52,9 +52,9 @@ type Server struct {
 	opts Options
 	down Downlink
 
-	fot     map[model.ObjectID]*fotEntry
-	sqt     map[model.QueryID]*sqtEntry
-	rqi     []map[model.QueryID]struct{} // indexed by grid cell index
+	fot map[model.ObjectID]*fotEntry
+	sqt map[model.QueryID]*sqtEntry
+	rqi []map[model.QueryID]struct{} // indexed by grid cell index
 	// rqiCount tracks the total number of (cell, query) entries across rqi,
 	// maintained incrementally by rqiAdd/rqiRemove so reporting it is O(1).
 	rqiCount int

@@ -165,11 +165,20 @@ func (h *Histogram) snapshot() []int64 {
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
 // linear interpolation inside the containing bucket, exactly like
 // Prometheus's histogram_quantile. Observations in the overflow bucket clamp
-// to the highest finite bound. Returns 0 when the histogram is empty or nil.
+// to the highest finite bound, and no estimate exceeds the exact Max: the
+// interpolation assumes values spread to the bucket's upper bound, which
+// the largest observation may not reach. Returns 0 when the histogram is
+// empty or nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
+	return math.Min(h.bucketQuantile(q), h.Max())
+}
+
+// bucketQuantile is Quantile's bucket interpolation, before the clamp to
+// Max.
+func (h *Histogram) bucketQuantile(q float64) float64 {
 	counts := h.snapshot()
 	var total int64
 	for _, c := range counts {

@@ -35,12 +35,42 @@ func TestQuantileSingleObservation(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want within (1, 2]", q, got)
 		}
 	}
-	// q=0 pins the bucket's lower bound, q=1 its upper bound.
+	// q=0 pins the bucket's lower bound; q=1 would interpolate to the
+	// upper bound, 2, but clamps to the exact max.
 	if got := h.Quantile(0); got != 1 {
 		t.Errorf("Quantile(0) = %v, want 1", got)
 	}
-	if got := h.Quantile(1); got != 2 {
-		t.Errorf("Quantile(1) = %v, want 2", got)
+	if got := h.Quantile(1); got != 1.5 {
+		t.Errorf("Quantile(1) = %v, want 1.5 (the exact max)", got)
+	}
+}
+
+// TestQuantileNeverExceedsMax: when the largest observations sit low in
+// their bucket, interpolation toward the bucket's upper bound reports a tail
+// quantile above the exact max (results/loadreport.json, written before the
+// clamp, shows p99.9 1.19 s against max 0.98 s). Every quantile clamps to
+// Max.
+func TestQuantileNeverExceedsMax(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	for i := 0; i < 10; i++ {
+		h.Observe(2.1) // bucket (2, 4]
+	}
+	if got := h.Quantile(0.99); got != 2.1 {
+		t.Errorf("Quantile(0.99) = %v, want the max 2.1 (interpolation gives 3.98)", got)
+	}
+
+	hdr := NewHistogram(HDRLatencyBuckets)
+	for i := 0; i < 1000; i++ {
+		hdr.Observe(1e-3 * float64(1+i%50)) // 1–50 ms body
+	}
+	hdr.Observe(0.98) // one stall, low in its log bucket
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
+		if got := hdr.Quantile(q); got > hdr.Max() {
+			t.Errorf("HDR Quantile(%v) = %v above max %v", q, got, hdr.Max())
+		}
+	}
+	if got := hdr.Quantile(1); got != 0.98 {
+		t.Errorf("HDR Quantile(1) = %v, want the max 0.98", got)
 	}
 }
 

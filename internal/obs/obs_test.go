@@ -130,36 +130,37 @@ func TestConcurrentMutation(t *testing.T) {
 // TestScrapeDuringRegistration scrapes while another goroutine keeps
 // creating brand-new series in the same families — the case where the scrape
 // walks a family's series map as a registration inserts into it. Under -race
-// this pins that snapshotting holds the registry lock.
+// this pins that snapshotting holds the registry lock. Each round inserts a
+// bounded number of series into a fresh registry and scrapes until the
+// inserts finish: an unbounded insert loop outruns the scrapes, whose cost
+// grows with the registry, until memory runs out.
 func TestScrapeDuringRegistration(t *testing.T) {
-	r := NewRegistry()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
+	for round := 0; round < 10; round++ {
+		r := NewRegistry()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 500; i++ {
+				sh := strconv.Itoa(i)
+				r.Counter("churn_total", "", "shard", sh).Inc()
+				r.Gauge("churn_load", "", "shard", sh).Set(float64(i))
+				r.Histogram("churn_seconds", "", nil, "shard", sh).Observe(1e-6)
+				r.RegisterCounter("churn_attached_total", "", NewCounter(), "shard", sh)
+				r.GaugeFunc("churn_fn", "", func() float64 { return float64(i) }, "shard", sh)
+			}
+		}()
+		for inserting := true; inserting; {
 			select {
 			case <-done:
-				return
+				inserting = false
 			default:
 			}
-			sh := strconv.Itoa(i)
-			r.Counter("churn_total", "", "shard", sh).Inc()
-			r.Gauge("churn_load", "", "shard", sh).Set(float64(i))
-			r.Histogram("churn_seconds", "", nil, "shard", sh).Observe(1e-6)
-			r.RegisterCounter("churn_attached_total", "", NewCounter(), "shard", sh)
-			r.GaugeFunc("churn_fn", "", func() float64 { return float64(i) }, "shard", sh)
+			if err := r.WritePrometheus(discard{}); err != nil {
+				t.Fatalf("round %d: scrape: %v", round, err)
+			}
+			r.Snapshot()
 		}
-	}()
-	for i := 0; i < 300; i++ {
-		if err := r.WritePrometheus(discard{}); err != nil {
-			t.Fatalf("scrape %d: %v", i, err)
-		}
-		r.Snapshot()
 	}
-	close(done)
-	wg.Wait()
 }
 
 // TestFirstUseConcurrent races many goroutines on the FIRST constructor call

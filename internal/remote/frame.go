@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"mobieyes/internal/model"
@@ -49,36 +50,87 @@ func (e *HelloVersionError) Error() string {
 	return fmt.Sprintf("remote: peer hello is protocol version %d, this build speaks %d", e.Got, HelloVersion)
 }
 
-// WriteFrame writes a length-prefixed payload.
+// WriteFrame writes a length-prefixed payload with a single Write.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > maxFrame {
 		return fmt.Errorf("remote: frame of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := make([]byte, 4, 4+len(payload))
+	binary.LittleEndian.PutUint32(b, uint32(len(payload)))
+	_, err := w.Write(append(b, payload...))
 	return err
 }
 
-// ReadFrame reads one length-prefixed payload.
-func ReadFrame(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameBatch writes a queue of frames as one vectored write — a single
+// writev(2) on a TCP connection — reusing its header block and I/O vector
+// across calls. Not safe for concurrent use.
+type frameBatch struct {
+	hdrs []byte   // length prefixes, 4 bytes per frame
+	iov  [][]byte // header, payload, header, payload, …
+}
+
+// maxReusedBatch caps the frame count whose header block and vector a
+// frameBatch keeps for the next call, so one burst does not pin memory for
+// the connection's lifetime.
+const maxReusedBatch = 1024
+
+// write sends frames in order and returns the bytes written, length
+// prefixes included. A frame over the size limit fails the whole batch
+// before anything is written.
+func (fb *frameBatch) write(w io.Writer, frames [][]byte) (int64, error) {
+	if cap(fb.hdrs) < 4*len(frames) {
+		fb.hdrs = make([]byte, 4*len(frames))
+	}
+	hdrs := fb.hdrs[:4*len(frames)]
+	iov := fb.iov[:0]
+	for i, f := range frames {
+		if len(f) > maxFrame {
+			return 0, fmt.Errorf("remote: frame of %d bytes exceeds limit", len(f))
+		}
+		h := hdrs[4*i : 4*i+4]
+		binary.LittleEndian.PutUint32(h, uint32(len(f)))
+		iov = append(iov, h, f)
+	}
+	// WriteTo consumes the Buffers value it is called on; bufs is a copy,
+	// so iov keeps the backing array for reuse.
+	bufs := net.Buffers(iov)
+	n, err := bufs.WriteTo(w)
+	clear(iov) // drop payload references until the next batch
+	if len(frames) <= maxReusedBatch {
+		fb.iov = iov[:0]
+	} else {
+		fb.hdrs, fb.iov = nil, nil
+	}
+	return n, err
+}
+
+// readFrameInto reads one length-prefixed payload into buf, allocating only
+// when the frame outgrows buf's capacity. The payload aliases buf, so it is
+// valid until the next call with the same buffer.
+func readFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf)
 	if n > maxFrame {
 		return nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
 	return payload, nil
 }
+
+// ReadFrame reads one length-prefixed payload into a fresh buffer the caller
+// owns.
+func ReadFrame(r *bufio.Reader) ([]byte, error) { return readFrameInto(r, nil) }
 
 // EncodeHello builds the handshake frame payload announcing an object ID:
 // [tag, version, oid u32].

@@ -589,12 +589,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		sc.out.send(frame)
 	}
 
+	// Uplinks decode from one reused buffer: wire.DecodeTraced copies
+	// everything the decoded message keeps.
+	var buf []byte
 	sawBye := false
 	for {
-		payload, err := ReadFrame(br)
+		payload, err := readFrameInto(br, buf)
 		if err != nil {
 			break
 		}
+		buf = payload
 		s.om.framesIn.Add(1)
 		s.om.bytesIn.Add(int64(4 + len(payload)))
 		m, tid, err := wire.DecodeTraced(payload)
@@ -743,7 +747,9 @@ func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 
 // outbox serializes writes to one connection without ever blocking the
 // core loop: frames queue in memory and a dedicated writer goroutine drains
-// them.
+// them, taking the whole queue per wakeup and writing it with one vectored
+// write. Frames leave in queue order, so a Pong still follows every
+// downlink queued before it.
 type outbox struct {
 	conn   net.Conn
 	om     *remoteObs
@@ -783,6 +789,10 @@ func (o *outbox) close() {
 
 func (o *outbox) run(wg *sync.WaitGroup) {
 	defer wg.Done()
+	var (
+		fb    frameBatch
+		spare [][]byte // the last batch's emptied array, next to receive sends
+	)
 	for range o.signal {
 		for {
 			o.mu.Lock()
@@ -790,22 +800,28 @@ func (o *outbox) run(wg *sync.WaitGroup) {
 				o.mu.Unlock()
 				return
 			}
-			if len(o.queue) == 0 {
+			batch := o.queue
+			if len(batch) == 0 {
 				o.mu.Unlock()
 				break
 			}
-			frame := o.queue[0]
-			o.queue = o.queue[1:]
+			o.queue = spare
 			o.mu.Unlock()
-			if err := WriteFrame(o.conn, frame); err != nil {
+			n, err := fb.write(o.conn, batch)
+			if err != nil {
 				o.conn.Close()
 				o.mu.Lock()
 				o.closed = true
 				o.mu.Unlock()
 				return
 			}
-			o.om.framesOut.Add(1)
-			o.om.bytesOut.Add(int64(4 + len(frame)))
+			o.om.framesOut.Add(int64(len(batch)))
+			o.om.bytesOut.Add(n)
+			clear(batch)
+			spare = nil
+			if cap(batch) <= maxReusedBatch {
+				spare = batch[:0]
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 if command -v staticcheck >/dev/null 2>&1; then
 	staticcheck ./...
 fi
