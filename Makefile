@@ -1,13 +1,14 @@
 # Developer entry points. `make check` is the tier-1.5 gate CI runs: build,
-# vet, gofmt, full test suite, and the concurrency-sensitive packages again
-# under the race detector.
+# vet, gofmt, full test suite, the concurrency-sensitive packages again
+# under the race detector, the per-subsystem gates and the bench smoke. It is
+# the one definition of the local gate; scripts/check.sh runs it.
 
 GO ?= go
 
 .PHONY: build vet fmt test race check simtest cluster crash load stream bench bench-smoke bench-sharded bench-json report staticcheck
 
 # Optional deeper linting: runs only when staticcheck is installed, so the
-# gate works on minimal toolchains (CI installs it; see scripts/check.sh).
+# gate works on minimal toolchains (CI installs it before `make check`).
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping"; fi
@@ -75,7 +76,7 @@ stream:
 	$(GO) test -race -count=1 ./internal/obs/stream/ ./internal/history/
 	$(GO) test -race -count=1 -run 'Stream|History|AdminSubHist|Gateway' ./internal/remote/ ./internal/simtest/
 
-check: build vet fmt staticcheck test race simtest cluster crash load stream
+check: build vet fmt staticcheck test race simtest cluster crash load stream bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1s ./internal/core/

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -764,7 +766,7 @@ func (cs *ClusterServer) sendNewNearbyQueries(oid model.ObjectID, prevCell, newC
 	if len(fresh) == 0 {
 		return
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].QID < fresh[j].QID })
+	slices.SortFunc(fresh, func(a, b msg.QueryState) int { return cmp.Compare(a.QID, b.QID) })
 	cs.unicast(oid, msg.QueryInstall{Queries: fresh}, tid)
 	cs.ops.Add(1)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -54,7 +55,9 @@ type Server struct {
 
 	fot map[model.ObjectID]*fotEntry
 	sqt map[model.QueryID]*sqtEntry
-	rqi []map[model.QueryID]struct{} // indexed by grid cell index
+	// rqi is the reverse query index: per grid cell index, the ascending
+	// IDs of the queries whose monitoring regions cover the cell.
+	rqi [][]model.QueryID
 	// rqiCount tracks the total number of (cell, query) entries across rqi,
 	// maintained incrementally by rqiAdd/rqiRemove so reporting it is O(1).
 	rqiCount int
@@ -107,21 +110,13 @@ func NewServer(g *grid.Grid, opts Options, down Downlink) *Server {
 		down:     down,
 		fot:      make(map[model.ObjectID]*fotEntry),
 		sqt:      make(map[model.QueryID]*sqtEntry),
-		rqi:      makeRQI(g.NumCells()),
+		rqi:      make([][]model.QueryID, g.NumCells()),
 		pending:  make(map[model.ObjectID][]pendingInstall),
 		expiries: make(map[model.QueryID]model.Time),
 		nextQID:  1,
 		ops:      obs.NewCounter(),
 		upl:      obs.NewCounter(),
 	}
-}
-
-func makeRQI(n int) []map[model.QueryID]struct{} {
-	r := make([]map[model.QueryID]struct{}, n)
-	for i := range r {
-		r[i] = make(map[model.QueryID]struct{})
-	}
-	return r
 }
 
 // Ops returns the cumulative deterministic operation count.
@@ -448,26 +443,20 @@ func (s *Server) freshQueryStates(prevCell, newCell grid.CellID) []msg.QueryStat
 	if !s.g.Valid(newCell) {
 		return nil
 	}
-	newSet := s.rqi[s.g.CellIndex(newCell)]
-	if len(newSet) == 0 {
-		return nil
-	}
-	var oldSet map[model.QueryID]struct{}
+	var prev []model.QueryID
 	if s.g.Valid(prevCell) {
-		oldSet = s.rqi[s.g.CellIndex(prevCell)]
+		prev = s.rqi[s.g.CellIndex(prevCell)]
 	}
-	var fresh []model.QueryID
-	for qid := range newSet {
-		if _, ok := oldSet[qid]; !ok {
-			fresh = append(fresh, qid)
+	// Both lists ascend: one merge pass skips the queries prevCell has.
+	var states []msg.QueryState
+	j := 0
+	for _, qid := range s.rqi[s.g.CellIndex(newCell)] {
+		for j < len(prev) && prev[j] < qid {
+			j++
 		}
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	states := make([]msg.QueryState, 0, len(fresh))
-	for _, qid := range fresh {
+		if j < len(prev) && prev[j] == qid {
+			continue
+		}
 		states = append(states, s.queryState(qid))
 	}
 	return states
@@ -668,13 +657,7 @@ func (s *Server) NearbyQueries(cell grid.CellID) []model.QueryID {
 	if !s.g.Valid(cell) {
 		return nil
 	}
-	set := s.rqi[s.g.CellIndex(cell)]
-	out := make([]model.QueryID, 0, len(set))
-	for qid := range set {
-		out = append(out, qid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(s.rqi[s.g.CellIndex(cell)])
 }
 
 // queryState builds the wire representation of a query for clients.
@@ -695,9 +678,9 @@ func (s *Server) queryState(qid model.QueryID) msg.QueryState {
 func (s *Server) rqiAdd(qid model.QueryID, region grid.CellRange) {
 	region.ForEach(func(c grid.CellID) {
 		if s.g.Valid(c) {
-			set := s.rqi[s.g.CellIndex(c)]
-			if _, ok := set[qid]; !ok {
-				set[qid] = struct{}{}
+			idx := s.g.CellIndex(c)
+			if i, ok := slices.BinarySearch(s.rqi[idx], qid); !ok {
+				s.rqi[idx] = slices.Insert(s.rqi[idx], i, qid)
 				s.rqiCount++
 			}
 			s.ops.Add(1)
@@ -709,9 +692,9 @@ func (s *Server) rqiAdd(qid model.QueryID, region grid.CellRange) {
 func (s *Server) rqiRemove(qid model.QueryID, region grid.CellRange) {
 	region.ForEach(func(c grid.CellID) {
 		if s.g.Valid(c) {
-			set := s.rqi[s.g.CellIndex(c)]
-			if _, ok := set[qid]; ok {
-				delete(set, qid)
+			idx := s.g.CellIndex(c)
+			if i, ok := slices.BinarySearch(s.rqi[idx], qid); ok {
+				s.rqi[idx] = slices.Delete(s.rqi[idx], i, i+1)
 				s.rqiCount--
 			}
 			s.ops.Add(1)
@@ -721,17 +704,13 @@ func (s *Server) rqiRemove(qid model.QueryID, region grid.CellRange) {
 }
 
 func insertSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
-	i := sort.Search(len(qs), func(i int) bool { return qs[i] >= qid })
-	qs = append(qs, 0)
-	copy(qs[i+1:], qs[i:])
-	qs[i] = qid
-	return qs
+	i, _ := slices.BinarySearch(qs, qid)
+	return slices.Insert(qs, i, qid)
 }
 
 func removeSortedQID(qs []model.QueryID, qid model.QueryID) []model.QueryID {
-	i := sort.Search(len(qs), func(i int) bool { return qs[i] >= qid })
-	if i < len(qs) && qs[i] == qid {
-		return append(qs[:i], qs[i+1:]...)
+	if i, ok := slices.BinarySearch(qs, qid); ok {
+		return slices.Delete(qs, i, i+1)
 	}
 	return qs
 }
@@ -749,7 +728,7 @@ func (s *Server) CheckInvariants() error {
 			if !s.g.Valid(c) {
 				return
 			}
-			if _, ok := s.rqi[s.g.CellIndex(c)][qid]; ok {
+			if _, ok := slices.BinarySearch(s.rqi[s.g.CellIndex(c)], qid); ok {
 				count++
 			} else {
 				count = -1 << 30
@@ -760,9 +739,12 @@ func (s *Server) CheckInvariants() error {
 		}
 	}
 	entries := 0
-	for idx, set := range s.rqi {
-		entries += len(set)
-		for qid := range set {
+	for idx, list := range s.rqi {
+		entries += len(list)
+		for i, qid := range list {
+			if i > 0 && list[i-1] >= qid {
+				return fmt.Errorf("core: RQI cell %d lists queries out of order: %v", idx, list)
+			}
 			e, ok := s.sqt[qid]
 			if !ok {
 				return fmt.Errorf("core: RQI cell %d lists unknown query %d", idx, qid)

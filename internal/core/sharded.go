@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -453,7 +455,7 @@ func (ss *ShardedServer) sendNewNearbyQueries(oid model.ObjectID, prevCell, newC
 	if len(fresh) == 0 {
 		return
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].QID < fresh[j].QID })
+	slices.SortFunc(fresh, func(a, b msg.QueryState) int { return cmp.Compare(a.QID, b.QID) })
 	ss.unicast(oid, msg.QueryInstall{Queries: fresh}, tid)
 	ss.ops.Add(1)
 }

@@ -69,6 +69,7 @@ type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	min    atomic.Uint64 // float64 bits, CAS-minimized; +Inf until first observation
 	max    atomic.Uint64 // float64 bits, CAS-maximized; 0 until first observation
 }
 
@@ -84,7 +85,9 @@ func NewHistogram(bounds []float64) *Histogram {
 		}
 	}
 	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h := &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	return h
 }
 
 // Observe records one observation. No-op on a nil receiver.
@@ -101,6 +104,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.counts[i].Add(1)
 	h.count.Add(1)
+	for {
+		old := h.min.Load()
+		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
 	for {
 		old := h.max.Load()
 		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
@@ -130,6 +139,19 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
+}
+
+// Min returns the smallest value observed so far — exact, like Max, and
+// correct for values ≤ 0 too. Returns 0 for a nil or empty histogram.
+func (h *Histogram) Min() float64 {
+	if h == nil {
+		return 0
+	}
+	v := math.Float64frombits(h.min.Load())
+	if math.IsInf(v, 1) {
+		return 0
+	}
+	return v
 }
 
 // Max returns the largest value observed so far — exact, not a bucket bound,
@@ -164,20 +186,20 @@ func (h *Histogram) snapshot() []int64 {
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts by
 // linear interpolation inside the containing bucket, exactly like
-// Prometheus's histogram_quantile. Observations in the overflow bucket clamp
-// to the highest finite bound, and no estimate exceeds the exact Max: the
-// interpolation assumes values spread to the bucket's upper bound, which
-// the largest observation may not reach. Returns 0 when the histogram is
-// empty or nil.
+// Prometheus's histogram_quantile, then clamps the estimate into the exact
+// [Min, Max]: the interpolation assumes values spread across the whole
+// bucket, which the smallest and largest observations may not reach.
+// Observations in the overflow bucket interpolate to the highest finite
+// bound before the clamp. Returns 0 when the histogram is empty or nil.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	return math.Min(h.bucketQuantile(q), h.Max())
+	return math.Max(math.Min(h.bucketQuantile(q), h.Max()), h.Min())
 }
 
 // bucketQuantile is Quantile's bucket interpolation, before the clamp to
-// Max.
+// [Min, Max].
 func (h *Histogram) bucketQuantile(q float64) float64 {
 	counts := h.snapshot()
 	var total int64

@@ -24,8 +24,9 @@ func TestQuantileEmpty(t *testing.T) {
 	}
 }
 
-// TestQuantileSingleObservation: with one observation every quantile lands
-// inside that observation's bucket — never outside it, never NaN.
+// TestQuantileSingleObservation: with one observation the bucket
+// interpolation lands inside that observation's bucket — never outside it,
+// never NaN — and every quantile clamps to the observation itself.
 func TestQuantileSingleObservation(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	h.Observe(1.5) // bucket (1, 2]
@@ -35,10 +36,13 @@ func TestQuantileSingleObservation(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want within (1, 2]", q, got)
 		}
 	}
-	// q=0 pins the bucket's lower bound; q=1 would interpolate to the
-	// upper bound, 2, but clamps to the exact max.
-	if got := h.Quantile(0); got != 1 {
-		t.Errorf("Quantile(0) = %v, want 1", got)
+	// q=0 interpolates to the bucket's lower bound, 1, and q=1 to its
+	// upper bound, 2; both clamp to the exact min and max.
+	if got := h.bucketQuantile(0); got != 1 {
+		t.Errorf("bucketQuantile(0) = %v, want 1", got)
+	}
+	if got := h.Quantile(0); got != 1.5 {
+		t.Errorf("Quantile(0) = %v, want 1.5 (the exact min)", got)
 	}
 	if got := h.Quantile(1); got != 1.5 {
 		t.Errorf("Quantile(1) = %v, want 1.5 (the exact max)", got)
@@ -74,16 +78,20 @@ func TestQuantileNeverExceedsMax(t *testing.T) {
 	}
 }
 
-// TestQuantileAllOverflow: observations above every finite bound clamp to
-// the highest finite bound, as Prometheus's histogram_quantile does.
+// TestQuantileAllOverflow: observations above every finite bound
+// interpolate to the highest finite bound, as Prometheus's
+// histogram_quantile does; the exact [Min, Max] clamp then recovers them.
 func TestQuantileAllOverflow(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
 	for i := 0; i < 10; i++ {
 		h.Observe(100)
 	}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 4 {
-			t.Errorf("Quantile(%v) = %v, want 4 (highest finite bound)", q, got)
+		if got := h.bucketQuantile(q); got != 4 {
+			t.Errorf("bucketQuantile(%v) = %v, want 4 (highest finite bound)", q, got)
+		}
+		if got := h.Quantile(q); got != 100 {
+			t.Errorf("Quantile(%v) = %v, want 100 (the exact min and max)", q, got)
 		}
 	}
 }
@@ -117,13 +125,49 @@ func TestQuantileOutOfRange(t *testing.T) {
 	}
 }
 
-// TestQuantileSkipsEmptyLeadingBuckets: q=0 reports the lower bound of the
-// first non-empty bucket, not of the first bucket overall.
+// TestQuantileSkipsEmptyLeadingBuckets: at q=0 the interpolation reports
+// the lower bound of the first non-empty bucket, not of the first bucket
+// overall, before the clamp to the exact min.
 func TestQuantileSkipsEmptyLeadingBuckets(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	h.Observe(3) // bucket (2, 4]
-	if got := h.Quantile(0); got != 2 {
-		t.Errorf("Quantile(0) = %v, want 2 (lower bound of first non-empty bucket)", got)
+	if got := h.bucketQuantile(0); got != 2 {
+		t.Errorf("bucketQuantile(0) = %v, want 2 (lower bound of first non-empty bucket)", got)
+	}
+	if got := h.Quantile(0); got != 3 {
+		t.Errorf("Quantile(0) = %v, want 3 (the exact min)", got)
+	}
+}
+
+// TestQuantileNeverBelowMin: when the smallest observation sits high in its
+// bucket, interpolation toward the bucket's lower bound reports a quantile
+// below every observation. Every quantile clamps to Min, which is exact for
+// values ≤ 0 too.
+func TestQuantileNeverBelowMin(t *testing.T) {
+	h := NewHistogram([]float64{0.5, 1, 2})
+	h.Observe(0.9) // bucket (0.5, 1]
+	if got := h.bucketQuantile(0); got != 0.5 {
+		t.Fatalf("bucketQuantile(0) = %v, want 0.5 (the bucket's lower bound)", got)
+	}
+	if got := h.Quantile(0); got != 0.9 {
+		t.Errorf("Quantile(0) = %v, want the min 0.9", got)
+	}
+	if got := h.Min(); got != 0.9 {
+		t.Errorf("Min() = %v, want 0.9", got)
+	}
+
+	neg := NewHistogram([]float64{1, 2})
+	neg.Observe(-3)
+	neg.Observe(0)
+	if got := neg.Min(); got != -3 {
+		t.Errorf("Min() = %v after observing -3 and 0, want -3", got)
+	}
+	var empty *Histogram
+	if got := empty.Min(); got != 0 {
+		t.Errorf("nil Min() = %v, want 0", got)
+	}
+	if got := NewHistogram(nil).Min(); got != 0 {
+		t.Errorf("empty Min() = %v, want 0", got)
 	}
 }
 
@@ -180,7 +224,7 @@ func TestHDRLatencyBucketsResolveWideRange(t *testing.T) {
 	old := NewHistogram(LatencyBuckets)
 	old.Observe(2)
 	old.Observe(8)
-	if q := old.Quantile(0.99); q > 1 {
+	if q := old.bucketQuantile(0.99); q > 1 {
 		t.Fatalf("LatencyBuckets q99 = %v — expected saturation at 1s (update this test if the ladder grew)", q)
 	}
 

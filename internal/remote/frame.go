@@ -128,6 +128,16 @@ func readFrameInto(r *bufio.Reader, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// frameBuffered reports whether r already holds the whole next frame, so
+// reading it cannot block.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4) // cannot fail: 4 bytes are buffered
+	return 4+int(binary.LittleEndian.Uint32(hdr)) <= r.Buffered()
+}
+
 // ReadFrame reads one length-prefixed payload into a fresh buffer the caller
 // owns.
 func ReadFrame(r *bufio.Reader) ([]byte, error) { return readFrameInto(r, nil) }

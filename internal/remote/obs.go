@@ -15,6 +15,7 @@ const (
 	metricConnects        = "mobieyes_remote_connects_total"
 	metricFramesIn        = "mobieyes_remote_frames_in_total"
 	metricFramesOut       = "mobieyes_remote_frames_out_total"
+	metricFramesOutReader = "mobieyes_remote_frames_out_reader_total"
 	metricBytesIn         = "mobieyes_remote_bytes_in_total"
 	metricBytesOut        = "mobieyes_remote_bytes_out_total"
 	metricDecodeErrors    = "mobieyes_remote_decode_errors_total"
@@ -27,6 +28,7 @@ const (
 	helpConnects        = "Completed object handshakes (including reconnects)."
 	helpFramesIn        = "Frames received from objects (handshakes included)."
 	helpFramesOut       = "Frames written to objects."
+	helpFramesOutReader = "Frames written by their connection's own reader at the end of an input burst; the rest are written by the connection's writer goroutine."
 	helpBytesIn         = "Bytes received from objects, length prefixes included."
 	helpBytesOut        = "Bytes written to objects, length prefixes included."
 	helpDecodeErrors    = "Received frames that failed protocol decoding."
@@ -40,13 +42,16 @@ const (
 // server always carries a registry (its own if the config supplies none), so
 // unlike core's serverObs this is never nil on a running server.
 type remoteObs struct {
-	connects       *obs.Counter
-	framesIn       *obs.Counter
-	framesOut      *obs.Counter
-	bytesIn        *obs.Counter
-	bytesOut       *obs.Counter
-	decodeErrors   *obs.Counter
-	versionRejects *obs.Counter
+	connects  *obs.Counter
+	framesIn  *obs.Counter
+	framesOut *obs.Counter
+	// framesOutReader counts the share of framesOut written by the
+	// connection's reader, not its writer goroutine.
+	framesOutReader *obs.Counter
+	bytesIn         *obs.Counter
+	bytesOut        *obs.Counter
+	decodeErrors    *obs.Counter
+	versionRejects  *obs.Counter
 	// uplinkLat is indexed by message kind; only uplink kinds are populated
 	// (downlink kinds never arrive on the uplink path).
 	uplinkLat       [msg.NumKinds]*obs.Histogram
@@ -58,6 +63,7 @@ func newRemoteObs(reg *obs.Registry) *remoteObs {
 		connects:        reg.Counter(metricConnects, helpConnects),
 		framesIn:        reg.Counter(metricFramesIn, helpFramesIn),
 		framesOut:       reg.Counter(metricFramesOut, helpFramesOut),
+		framesOutReader: reg.Counter(metricFramesOutReader, helpFramesOutReader),
 		bytesIn:         reg.Counter(metricBytesIn, helpBytesIn),
 		bytesOut:        reg.Counter(metricBytesOut, helpBytesOut),
 		decodeErrors:    reg.Counter(metricDecodeErrors, helpDecodeErrors),

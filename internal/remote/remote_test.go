@@ -50,7 +50,7 @@ func dialObject(t *testing.T, s *Server, oid model.ObjectID, pos geo.Point, vel 
 	return o
 }
 
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
+func waitFor(t testing.TB, d time.Duration, cond func() bool) bool {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

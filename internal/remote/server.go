@@ -141,6 +141,10 @@ type Server struct {
 	graceTimers map[model.ObjectID]*time.Timer
 }
 
+// departureFlushTimeout bounds the write of a departing object's last
+// frames, so a peer that stopped reading cannot hold its connection open.
+const departureFlushTimeout = time.Second
+
 // maxPendingUnicasts bounds the per-object queue of undeliverable frames.
 const maxPendingUnicasts = 64
 
@@ -590,15 +594,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	// Uplinks decode from one reused buffer: wire.DecodeTraced copies
-	// everything the decoded message keeps.
+	// everything the decoded message keeps. While frames are already
+	// buffered the outbox is held, so the downlinks they cause only queue;
+	// the burst ends when the next frame is not wholly buffered, and its
+	// frames are written before a read that can block.
 	var buf []byte
-	sawBye := false
+	held, sawBye := false, false
 	for {
+		if held && !frameBuffered(br) {
+			sc.out.release()
+			held = false
+		}
 		payload, err := readFrameInto(br, buf)
 		if err != nil {
 			break
 		}
 		buf = payload
+		if !held {
+			sc.out.hold()
+			held = true
+		}
 		s.om.framesIn.Add(1)
 		s.om.bytesIn.Add(int64(4 + len(payload)))
 		m, tid, err := wire.DecodeTraced(payload)
@@ -637,7 +652,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			break
 		}
 	}
-
 	s.mu.Lock()
 	if sawBye {
 		// A departed object's queued unicasts are void; a later rejoin is a
@@ -653,6 +667,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		_, replaced = s.conns[oid]
 	}
 	s.mu.Unlock()
+	if sawBye {
+		// Deliver what the departing object's last burst queued, now that
+		// no broadcast reaches it any more. The deadline bounds the wait on
+		// a peer that stopped reading; setting it fails only on a closed
+		// conn, where the flush fails at once too.
+		_ = conn.SetWriteDeadline(time.Now().Add(departureFlushTimeout))
+		sc.out.flush(true)
+	}
 	sc.out.close()
 	conn.Close()
 	if sawBye || replaced {
@@ -746,9 +768,13 @@ func (d serverDownlink) UnicastTraced(oid model.ObjectID, m msg.Message, tid tra
 }
 
 // outbox serializes writes to one connection without ever blocking the
-// core loop: frames queue in memory and a dedicated writer goroutine drains
-// them, taking the whole queue per wakeup and writing it with one vectored
-// write. Frames leave in queue order, so a Pong still follows every
+// core loop: frames queue in memory and whoever owns the socket (wmu) takes
+// the whole queue and writes it with one vectored write. While the
+// connection's reader dispatches an input burst the outbox is held: sends
+// only enqueue, and the reader writes the burst's frames itself when the
+// burst ends (release). Otherwise a send wakes the writer goroutine, which
+// serves frames queued by other goroutines. Both writers drain the one queue
+// under wmu, so frames leave in queue order and a Pong still follows every
 // downlink queued before it.
 type outbox struct {
 	conn   net.Conn
@@ -757,6 +783,11 @@ type outbox struct {
 	queue  [][]byte
 	signal chan struct{}
 	closed bool
+	held   bool // a reader burst is in progress: sends skip the wakeup
+
+	wmu   sync.Mutex // socket ownership; guards fb and spare
+	fb    frameBatch
+	spare [][]byte // the last batch's emptied array, next to receive sends
 }
 
 func newOutbox(conn net.Conn, om *remoteObs) *outbox {
@@ -770,58 +801,103 @@ func (o *outbox) send(frame []byte) {
 		return
 	}
 	o.queue = append(o.queue, frame)
+	held := o.held
 	o.mu.Unlock()
+	if !held {
+		o.wake()
+	}
+}
+
+func (o *outbox) wake() {
 	select {
 	case o.signal <- struct{}{}:
 	default:
 	}
+}
+
+// hold defers the wakeup of later sends until release.
+func (o *outbox) hold() {
+	o.mu.Lock()
+	o.held = true
+	o.mu.Unlock()
+}
+
+// release ends a hold and writes the queue from the calling goroutine, or,
+// when the writer goroutine owns the socket, wakes it to drain the queue
+// instead. It may block on a slow peer, so call it with no backend lock held.
+func (o *outbox) release() {
+	o.mu.Lock()
+	o.held = false
+	o.mu.Unlock()
+	if !o.wmu.TryLock() {
+		o.wake()
+		return
+	}
+	o.writeQueued(true)
+	o.wmu.Unlock()
+}
+
+// flush writes everything queued so far, waiting for the socket if the
+// other writer owns it, and reports whether the outbox is still open.
+// byReader tells whether the connection's reader is the caller.
+func (o *outbox) flush(byReader bool) bool {
+	o.wmu.Lock()
+	defer o.wmu.Unlock()
+	return o.writeQueued(byReader)
 }
 
 func (o *outbox) close() {
 	o.mu.Lock()
 	o.closed = true
 	o.mu.Unlock()
-	select {
-	case o.signal <- struct{}{}:
-	default:
+	o.wake()
+}
+
+// run is the writer goroutine: it serves frames sent while no reader burst
+// holds the outbox, draining the queue on every wakeup until the outbox
+// closes.
+func (o *outbox) run(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for range o.signal {
+		if !o.flush(false) {
+			return
+		}
 	}
 }
 
-func (o *outbox) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	var (
-		fb    frameBatch
-		spare [][]byte // the last batch's emptied array, next to receive sends
-	)
-	for range o.signal {
-		for {
-			o.mu.Lock()
-			if o.closed {
-				o.mu.Unlock()
-				return
-			}
-			batch := o.queue
-			if len(batch) == 0 {
-				o.mu.Unlock()
-				break
-			}
-			o.queue = spare
+// writeQueued writes batches until the queue is empty and reports whether
+// the outbox is still open. A write error closes the connection and the
+// outbox, which stops the other writer too. The caller owns wmu; byReader
+// counts the frames as written by the connection's own reader.
+func (o *outbox) writeQueued(byReader bool) bool {
+	for {
+		o.mu.Lock()
+		if o.closed {
 			o.mu.Unlock()
-			n, err := fb.write(o.conn, batch)
-			if err != nil {
-				o.conn.Close()
-				o.mu.Lock()
-				o.closed = true
-				o.mu.Unlock()
-				return
-			}
-			o.om.framesOut.Add(int64(len(batch)))
-			o.om.bytesOut.Add(n)
-			clear(batch)
-			spare = nil
-			if cap(batch) <= maxReusedBatch {
-				spare = batch[:0]
-			}
+			return false
+		}
+		batch := o.queue
+		if len(batch) == 0 {
+			o.mu.Unlock()
+			return true
+		}
+		o.queue = o.spare
+		o.mu.Unlock()
+		n, err := o.fb.write(o.conn, batch)
+		if err != nil {
+			o.conn.Close()
+			o.close()
+			return false
+		}
+		o.om.framesOut.Add(int64(len(batch)))
+		if byReader {
+			o.om.framesOutReader.Add(int64(len(batch)))
+		}
+		o.om.bytesOut.Add(n)
+		clear(batch)
+		o.spare = nil
+		if cap(batch) <= maxReusedBatch {
+			o.spare = batch[:0]
 		}
 	}
 }
