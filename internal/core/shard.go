@@ -27,7 +27,7 @@ type shard struct {
 	idx int
 	// inflight is the number of uplinks currently charged to this shard —
 	// queued on its lock or executing — maintained by the instrumented
-	// router's dispatch (see trackInflight). At quiescence it is zero.
+	// router's dispatch (see inflightCounter). At quiescence it is zero.
 	inflight atomic.Int64
 }
 

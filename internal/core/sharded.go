@@ -63,7 +63,7 @@ type ShardedServer struct {
 
 	// inflight counts uplinks currently dispatching at router level (no
 	// owning shard: departures, stale drops); per-shard depth lives on each
-	// shard. Maintained only while instrumented — see trackInflight.
+	// shard. Maintained only while instrumented — see inflightCounter.
 	inflight atomic.Int64
 
 	// obsm, when attached by Instrument, times HandleUplink per message
@@ -696,18 +696,15 @@ func (ss *ShardedServer) uplinkShard(m msg.Message) int {
 	return -1
 }
 
-// trackInflight charges one dispatching uplink against the owning shard's
-// pending-depth counter (router-level when no shard owns it) and returns the
-// paired decrement. The inc/dec pairing is unconditional within one dispatch,
-// so every counter returns to zero at quiescence no matter how the handler
-// exits.
-func (ss *ShardedServer) trackInflight(m msg.Message) func() {
-	c := &ss.inflight
+// inflightCounter returns the pending-depth counter one dispatching uplink
+// is charged to: the owning shard's, or the router-level one when no shard
+// owns it. dispatchUplink pairs Add(1) with a deferred Add(-1), so every
+// counter returns to zero at quiescence no matter how the handler exits.
+func (ss *ShardedServer) inflightCounter(m msg.Message) *atomic.Int64 {
 	if si := ss.uplinkShard(m); si >= 0 {
-		c = &ss.shards[si].inflight
+		return &ss.shards[si].inflight
 	}
-	c.Add(1)
-	return func() { c.Add(-1) }
+	return &ss.inflight
 }
 
 // PendingUplinksByShard returns each shard's current pending-uplink depth
@@ -725,7 +722,9 @@ func (ss *ShardedServer) dispatchUplink(m msg.Message, tid trace.ID) {
 	// The depth gauges cost a routing peek per uplink, so they are
 	// maintained only when someone attached a registry to read them.
 	if ss.obsm != nil {
-		defer ss.trackInflight(m)()
+		c := ss.inflightCounter(m)
+		c.Add(1)
+		defer c.Add(-1)
 	}
 	switch mm := m.(type) {
 	case msg.VelocityReport:

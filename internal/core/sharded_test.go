@@ -12,6 +12,7 @@ import (
 	"mobieyes/internal/grid"
 	"mobieyes/internal/model"
 	"mobieyes/internal/msg"
+	"mobieyes/internal/obs"
 )
 
 // runScenario drives a harness through a deterministic workload touching
@@ -342,5 +343,35 @@ func TestShardedSnapshotCrossRestore(t *testing.T) {
 	}
 	if !bytes.Equal(data, again.Bytes()) {
 		t.Error("sharded → serial re-snapshot not byte-identical")
+	}
+}
+
+// TestInstrumentedDispatchAllocs pins that the per-shard depth gauges cost
+// no allocation per uplink: an instrumented sharded dispatch allocates no
+// more than an uninstrumented one, for uplinks routed to a shard and for
+// router-level ones.
+func TestInstrumentedDispatchAllocs(t *testing.T) {
+	g := grid.New(geo.NewRect(0, 0, 1000, 1000), 5)
+	newServer := func(instrument bool) *ShardedServer {
+		ss := NewShardedServer(g, Options{}, nullDown{}, 4)
+		if instrument {
+			ss.Instrument(obs.NewRegistry())
+		}
+		ss.HandleUplink(msg.FocalInfoResponse{OID: 1, Pos: geo.Pt(500, 500)})
+		ss.InstallQuery(1, model.CircleRegion{R: 3}, matchAll, 250)
+		return ss
+	}
+	uplinks := []msg.Message{
+		msg.ContainmentReport{OID: 2, QID: 1, IsTarget: true},
+		msg.VelocityReport{OID: 1, Pos: geo.Pt(500, 500), Vel: geo.Vec(1, 0)},
+		msg.ContainmentReport{OID: 2, QID: 99, IsTarget: true}, // no owning shard
+	}
+	for _, m := range uplinks {
+		bare, instrumented := newServer(false), newServer(true)
+		want := testing.AllocsPerRun(100, func() { bare.HandleUplink(m) })
+		got := testing.AllocsPerRun(100, func() { instrumented.HandleUplink(m) })
+		if got > want {
+			t.Errorf("%T: instrumented dispatch allocates %.1f per uplink, uninstrumented %.1f", m, got, want)
+		}
 	}
 }

@@ -394,14 +394,20 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 
 	sub, snap := tap.Subscribe(qid, 1024)
 	defer sub.Close()
+	// One write for the snapshot and one per drain, not one per line.
+	bw := bufio.NewWriter(conn)
+	defer bw.Flush()
 	for _, e := range snap {
-		fmt.Fprintf(conn, "snapshot qid %d seq %d members", e.QID, e.Seq)
+		fmt.Fprintf(bw, "snapshot qid %d seq %d members", e.QID, e.Seq)
 		for _, oid := range e.Members {
-			fmt.Fprintf(conn, " %d", oid)
+			fmt.Fprintf(bw, " %d", oid)
 		}
-		fmt.Fprintln(conn)
+		fmt.Fprintln(bw)
 	}
 	for seen := 0; seen < n; {
+		if bw.Flush() != nil {
+			return // session gone
+		}
 		select {
 		case <-a.done:
 			return
@@ -416,18 +422,15 @@ func (a *AdminServer) handleSub(conn net.Conn, args []string) {
 			if ev.Enter {
 				verb = "enter"
 			}
-			if _, err := fmt.Fprintf(conn, "event qid %d seq %d %s %d\n",
-				ev.QID, ev.Seq, verb, ev.OID); err != nil {
-				return // session gone
-			}
+			fmt.Fprintf(bw, "event qid %d seq %d %s %d\n", ev.QID, ev.Seq, verb, ev.OID)
 			seen++
 		}
 		if evicted {
-			fmt.Fprintln(conn, "err evicted")
+			fmt.Fprintln(bw, "err evicted")
 			return
 		}
 	}
-	fmt.Fprintln(conn, ".")
+	fmt.Fprintln(bw, ".")
 }
 
 // handleHist serves the HIST command: the history store's summary, one

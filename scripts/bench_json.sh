@@ -11,8 +11,9 @@
 # router-forwarding overhead — and the open-loop sustained-throughput series
 # of internal/obs/load (saturation rate at 10k/100k objects, serial and
 # sharded; each iteration is a full load run, so these always run 1x) —
-# plus the result-stream fan-out benchmarks of internal/obs/stream
-# (per-publish cost at 0/1/16/64 subscribers) and the history-log append
+# plus the result-stream benchmarks of internal/obs/stream (per-publish
+# fan-out cost at 0/1/16/64 subscribers, and per-event SSE delivery through
+# the gateway over loopback) and the history-log append
 # benchmarks of internal/history (steady-state and evicting).
 # Usage:
 #
@@ -31,7 +32,7 @@ BENCHTIME="${BENCHTIME:-1s}"
 	go test -run '^$' -bench . -benchtime "$BENCHTIME" ./internal/obs/telemetry/
 	go test -run '^$' -bench 'BenchmarkUplink(Serial|Sharded|Clustered)(10k|100k)' -benchtime "$BENCHTIME" ./internal/core/
 	go test -run '^$' -bench 'BenchmarkSustained' -benchtime 1x ./internal/obs/load/
-	go test -run '^$' -bench 'BenchmarkStreamFanOut' -benchtime "$BENCHTIME" ./internal/obs/stream/
+	go test -run '^$' -bench 'BenchmarkStreamFanOut|BenchmarkGatewayBurst' -benchtime "$BENCHTIME" ./internal/obs/stream/
 	go test -run '^$' -bench 'BenchmarkHistoryAppend' -benchtime "$BENCHTIME" ./internal/history/
 } | awk '
 	/^Benchmark/ {
